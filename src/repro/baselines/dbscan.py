@@ -90,7 +90,6 @@ class SlidingDBSCAN:
         index: injected spatial substrate — a registry name, a ready
             :class:`~repro.index.base.NeighborIndex`, or a factory; defaults
             to the R-tree.
-        index_factory: deprecated alias for ``index``.
     """
 
     name = "DBSCAN"
@@ -101,14 +100,11 @@ class SlidingDBSCAN:
         tau: int,
         *,
         index: str | NeighborIndex | Callable[[], NeighborIndex] | None = None,
-        index_factory: Callable[[], NeighborIndex] | None = None,
     ) -> None:
         self.params = ClusteringParams(
             eps, tau, index=index if isinstance(index, str) else None
         )
-        self.index = resolve_index(
-            index, index_factory, eps=eps, owner="SlidingDBSCAN"
-        )
+        self.index = resolve_index(index, eps=eps)
         self._points: dict[int, Coords] = {}
         self._labels: dict[int, int] = {}
         self._categories: dict[int, Category] = {}

@@ -1,16 +1,13 @@
 """Columnar (struct-of-arrays) storage for per-point window state.
 
-The object layout of :class:`~repro.core.state.PointRecord` — one Python
-object per point, one attribute chase per field — is what made COLLECT's
-``n_eps``/``c_core`` maintenance and stride expiry the dominant cost of a
-window advance. :class:`PointStore` replaces it with a struct-of-arrays
-arena: one numpy column per field, grown in fixed-size slabs, with a
-free-list recycling slots on expiry so a steady-state stream never
-reallocates. The COLLECT/CLUSTER hot paths operate on whole index arrays
-(``np.add.at`` over every neighbour of a stride at once) instead of touching
-records one by one; everything else goes through the
-:class:`RecordView`/:class:`RecordMap` façade, which preserves the classic
-per-record API on top of the columns.
+:class:`PointStore` is the one home of DISC's per-point window state: a
+struct-of-arrays arena with one numpy column per field, grown in fixed-size
+slabs, with a free-list recycling slots on expiry so a steady-state stream
+never reallocates. The COLLECT/CLUSTER hot paths operate on whole index
+arrays (``np.add.at`` over every neighbour of a stride at once) instead of
+touching points one by one; everything else goes through the
+:class:`RecordView`/:class:`RecordMap` façade, a per-record API on top of
+the columns.
 
 Layout (one row per resident point):
 
@@ -27,8 +24,8 @@ anchor int64     anchoring core pid for borders; ``-1`` encodes None
 flags  uint8     bitfield: ``WAS_CORE`` (bit 0), ``DELETED`` (bit 1)
 ====== ========= =====================================================
 
-Core status is *derived* (``n_eps >= tau``), never stored — exactly as in
-the object layout. See DESIGN.md §3.3 and docs/performance.md.
+Core status is *derived* (``n_eps >= tau``), never stored. See DESIGN.md
+§3.3 and docs/performance.md.
 """
 
 from __future__ import annotations
@@ -87,8 +84,8 @@ class PointStore:
         self.cid = np.empty(0, dtype=np.int64)
         self.anchor = np.empty(0, dtype=np.int64)
         self.flags = np.empty(0, dtype=np.uint8)
-        # pid -> slot; insertion-ordered (Python dict), which keeps iteration
-        # order identical to the object layout's records dict.
+        # pid -> slot; insertion-ordered (Python dict), so iteration and
+        # checkpoint rows follow window insertion order.
         self._slot_of: dict[int, int] = {}
         self._free: list[int] = []
         self.recycled_total = 0
@@ -167,9 +164,9 @@ class PointStore:
     ) -> np.ndarray:
         """Insert a batch of fresh points; returns their slots (int64).
 
-        New rows start exactly like a fresh ``PointRecord``: ``n_eps=1``
-        (a point is its own epsilon-neighbour), ``c_core=0``, no flags, no
-        cluster id, no anchor.
+        New rows start as a fresh point: ``n_eps=1`` (a point is its own
+        epsilon-neighbour), ``c_core=0``, no flags, no cluster id, no
+        anchor.
         """
         n = len(pids)
         if n == 0:
@@ -268,10 +265,11 @@ class PointStore:
 class RecordView:
     """A per-point proxy reading and writing one :class:`PointStore` row.
 
-    Exposes exactly the :class:`~repro.core.state.PointRecord` attribute set
-    so call sites (and tests) written against the object layout keep working
-    unchanged. Views are transient — create, touch, discard; the hot paths
-    never build them.
+    Exposes one attribute per column (``pid``, ``coords``, ``time``,
+    ``n_eps``, ``c_core``, ``cid``, ``anchor``, ``was_core``, ``deleted``)
+    for the per-record readers: invariant checks, diagnostics and tests.
+    Views are transient — create, touch, discard; the hot paths never build
+    them.
     """
 
     __slots__ = ("_store", "_slot")
@@ -366,8 +364,7 @@ class RecordMap(Mapping):
     Supports the read surface the per-record code paths use (`[]`, ``get``,
     ``in``, ``len``, iteration in insertion order, ``values``/``items``).
     Mutation goes through the store (``bulk_insert`` / ``free``); the only
-    mapping-style mutation kept is ``del records[pid]``, for parity with the
-    object layout's purge loop.
+    mapping-style mutation is ``del records[pid]``, which frees the row.
     """
 
     __slots__ = ("_store",)

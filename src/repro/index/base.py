@@ -185,3 +185,23 @@ class NeighborIndex(ABC):
             )
             for ball in self.ball_many(centers, radius)
         ]
+
+    # ---------------------------------------------------------- epoch probing
+
+    def ball_unvisited_pids(
+        self,
+        center: Sequence[float],
+        radius: float,
+        tick: int,
+        should_mark=None,
+    ) -> list[int]:
+        """Ids-only ``ball_unvisited``: same points, marking and stats.
+
+        Derived from the backend's ``ball_unvisited``, so it exists on every
+        epoch-capable index (native or wrapped in
+        :class:`~repro.index.epochs.EpochAdapter`); backends that can skip
+        building ``(pid, coords)`` tuples override it.
+        """
+        return [
+            pid for pid, _ in self.ball_unvisited(center, radius, tick, should_mark)
+        ]

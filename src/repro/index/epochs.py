@@ -156,7 +156,7 @@ class EpochAdapter(NeighborIndex):
         """Ids-only :meth:`ball_unvisited`; identical marking and stats.
 
         Backed by the wrapped index's vectorized :meth:`ball_pids`, so no
-        ``(pid, coords)`` tuples are built for callers (the columnar MS-BFS
+        ``(pid, coords)`` tuples are built for callers (the MS-BFS
         expansion) that resolve state by pid anyway.
         """
         epochs = self._epochs

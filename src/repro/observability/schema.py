@@ -55,8 +55,9 @@ TRACE_SCHEMA = {
             "type": "object",
             "additionalProperties": {"type": "integer", "minimum": 0},
         },
-        # Optional: PointStore occupancy gauges. Only columnar-layout runs
-        # carry it; ``occupancy`` is a ratio, the rest are integers.
+        # PointStore occupancy gauges; ``occupancy`` is a ratio, the rest are
+        # integers. DISC writes them on every stride; the key stays optional
+        # so trace files written without it still validate.
         "store": {
             "type": "object",
             "required": list(STORE_FIELDS),

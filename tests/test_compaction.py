@@ -4,7 +4,7 @@ import random
 
 from repro.common.points import StreamPoint
 from repro.core.disc import DISC
-from repro.core.state import PointRecord
+from repro.core.store import PointStore
 from repro.metrics.compare import assert_equivalent
 from repro.baselines.dbscan import SlidingDBSCAN
 
@@ -82,18 +82,6 @@ class TestCompaction:
         # (hundreds over 200 strides); with it, it tracks live clusters.
         assert len(disc.state.cids) <= disc.snapshot().num_clusters + 40
 
-    def test_vectorized_remap_matches_object_layout(self):
-        """Regression: the one-pass columnar cid remap equals the per-record
-        loop — same labels, same forest size, same carried-forward counter."""
-        rng_a, rng_b = random.Random(7), random.Random(7)
-        pair = []
-        for layout, rng in (("columnar", rng_a), ("object", rng_b)):
-            disc = DISC(0.6, 4, store=layout)
-            disc.advance(churn_stream(rng, 150), ())
-            size = disc.state.compact_cids()
-            pair.append((disc.labels(), size, disc.state.cids._next_id))
-        assert pair[0] == pair[1]
-
     def test_compact_on_columnar_skips_lingering_rows(self):
         """Compaction must only remap live rows; mid-run it is always called
         between strides, where every resident row is live."""
@@ -118,9 +106,11 @@ class TestCompaction:
         assert set(disc.labels()) == set(before)
 
     def test_point_record_repr_exposes_anchor_and_time(self):
-        """Regression for repr drift: anchor/time were missing from the
-        object-layout record repr while the columnar view showed them."""
-        rec = PointRecord(4, (1.0, 2.0), 7.5)
+        """Regression for repr drift: a point's record repr must show the
+        fields compaction rewrites (cid) next to anchor and time."""
+        store = PointStore()
+        store.insert(4, (1.0, 2.0), 7.5)
+        rec = store.view(4)
         rec.anchor = 2
         rec.cid = 9
         text = repr(rec)

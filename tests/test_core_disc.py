@@ -7,7 +7,7 @@ from repro.common.errors import StreamOrderError
 from repro.common.points import StreamPoint
 from repro.common.snapshot import Category
 from repro.core.disc import DISC
-from repro.core.state import PointRecord, WindowState
+from repro.core.state import WindowState
 from repro.index.linear import LinearScanIndex
 
 
@@ -41,7 +41,7 @@ class TestFacade:
         assert "eps=1.0" in repr(disc)
 
     def test_custom_index_factory(self):
-        disc = DISC(eps=1.0, tau=3, index_factory=LinearScanIndex)
+        disc = DISC(eps=1.0, tau=3, index=LinearScanIndex)
         disc.advance(blob(0, 0, 0), ())
         assert isinstance(disc.index, LinearScanIndex)
         assert disc.snapshot().num_clusters == 1
@@ -102,7 +102,8 @@ class TestFacade:
 class TestWindowState:
     def test_category_of(self):
         state = WindowState(ClusteringParams(1.0, 3))
-        rec = PointRecord(1, (0.0, 0.0))
+        state.store.insert(1, (0.0, 0.0))
+        rec = state.records[1]
         rec.n_eps = 3
         assert state.category_of(rec) is Category.CORE
         rec.n_eps = 2
@@ -120,10 +121,9 @@ class TestWindowState:
 
     def test_live_records_skip_deleted(self):
         state = WindowState(ClusteringParams(1.0, 3))
-        alive = PointRecord(1, (0.0, 0.0))
-        gone = PointRecord(2, (1.0, 1.0))
-        gone.deleted = True
-        state.records = {1: alive, 2: gone}
+        state.store.insert(1, (0.0, 0.0))
+        state.store.insert(2, (1.0, 1.0))
+        state.records[2].deleted = True
         assert [r.pid for r in state.live_records()] == [1]
 
 

@@ -183,27 +183,6 @@ class TestConnectivity:
 
 
 class TestCollectComponent:
-    def test_full_component_membership(self):
-        from repro.core.msbfs import collect_component
-
-        points = [(i, (0.3 * i, 0.0)) for i in range(10)]
-        points += [(100 + i, (50.0 + 0.3 * i, 0.0)) for i in range(5)]
-        state, index = build_state(points, 0.5, 2)
-        component = collect_component(index, state, 0)
-        assert sorted(component) == list(range(10))
-
-    def test_on_border_callback(self):
-        from repro.core.msbfs import collect_component
-
-        points = [(0, (0.0, 0.0)), (1, (0.4, 0.0)), (2, (0.8, 0.0)),
-                  (3, (0.8, 0.45))]
-        state, index = build_state(points, 0.5, 3)
-        touched = []
-        collect_component(
-            index, state, 1, on_border=lambda b, c: touched.append(b)
-        )
-        assert 3 in touched
-
     def test_conflict_path_is_exercised_by_multiclass_split(self):
         # White-box: the end-of-stride claim settlement must actually run a
         # disambiguating connectivity check on the canonical two-cuts

@@ -260,6 +260,37 @@ class TestEpochProbing:
         late = index.ball_unvisited(center, EPS, tick)
         assert [pid for pid, _ in late] == [9_999]
 
+    @pytest.mark.parametrize(
+        "should_mark",
+        [None, lambda pid: False, lambda pid: pid % 2 == 0],
+        ids=["mark-all", "mark-none", "mark-even"],
+    )
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_ids_only_probe_matches_ball_unvisited(self, name, should_mark):
+        """``ball_unvisited_pids`` returns the ids of ``ball_unvisited``,
+        leaves the same points marked and moves the stats identically."""
+        points = cloud(90, seed=16)
+        full, ids = (with_epochs(make_backend(name)) for _ in range(2))
+        full.insert_many(points)
+        ids.insert_many(points)
+        tick = full.new_tick()
+        assert ids.new_tick() == tick
+        # Overlapping and repeated probes exercise pruning of marked points.
+        for _, center in points[:12] + points[:3]:
+            before = (full.stats.snapshot(), ids.stats.snapshot())
+            got_full = full.ball_unvisited(center, EPS, tick, should_mark)
+            got_ids = ids.ball_unvisited_pids(center, EPS, tick, should_mark)
+            assert list(got_ids) == [pid for pid, _ in got_full]
+            assert (full.stats.snapshot() - before[0]).as_dict() == (
+                ids.stats.snapshot() - before[1]
+            ).as_dict()
+        # Same marking: an unfiltered probe of every center sees the same
+        # unvisited points on both instances.
+        for _, center in points:
+            assert ids.ball_unvisited_pids(center, EPS, tick) == [
+                pid for pid, _ in full.ball_unvisited(center, EPS, tick)
+            ]
+
     def test_adapter_keeps_vectorized_batches(self):
         wrapped = with_epochs(make_backend("vectorgrid"))
         assert isinstance(wrapped, EpochAdapter)

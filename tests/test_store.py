@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.state import PointRecord, WindowState
+from repro.core.state import WindowState
 from repro.core.store import (
     COUNTER_FIELDS,
     DELETED,
@@ -158,36 +158,26 @@ class TestRecordFacade:
         del records[1]
         assert len(records) == 2
 
-    def test_window_state_layouts(self):
-        params = ClusteringParams(eps=0.5, tau=3)
-        columnar = WindowState(params)
-        assert columnar.store_kind == "columnar"
-        assert isinstance(columnar.records, RecordMap)
-        assert columnar.columnar() is columnar.store
-        legacy = WindowState(params, store="object")
-        assert legacy.store_kind == "object"
-        assert legacy.columnar() is None
-        with pytest.raises(ValueError):
-            WindowState(params, store="mystery")
-
-    def test_columnar_guard_detects_replaced_records(self):
-        """Tests that swap in a plain dict must fall back to generic paths."""
+    def test_window_state_owns_its_store(self):
         state = WindowState(ClusteringParams(eps=0.5, tau=3))
-        state.records = {}
-        assert state.columnar() is None
+        assert isinstance(state.store, PointStore)
+        assert isinstance(state.records, RecordMap)
+        assert state.records.store is state.store
+        assert state.columnar() is state.store
 
     def test_reprs_expose_anchor_and_time(self):
-        """Regression: both record reprs must show anchor and time."""
+        """Regression: the record repr must show anchor and time."""
         store = PointStore()
-        fill(store, 1)
+        fill(store, 2)
         view = store.view(0)
         view.anchor = 7
         text = repr(view)
         assert "anchor=7" in text and "time=0.0" in text
-        rec = PointRecord(1, (0.0, 0.0), 2.5)
-        rec.anchor = 7
-        text = repr(rec)
-        assert "anchor=7" in text and "time=2.5" in text
+        view = store.view(1)
+        view.time = 2.5
+        view.anchor = None
+        text = repr(view)
+        assert "anchor=None" in text and "time=2.5" in text
 
 
 class TestInvariants:
