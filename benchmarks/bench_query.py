@@ -1,7 +1,7 @@
 """Query-subsystem cost curves: journal overhead, AS-OF latency, fan-out.
 
 Three measurements, one artifact (``benchmarks/results/BENCH_query.json``,
-archived by the CI ``query-smoke`` job):
+archived by the CI ``serve-bench`` job):
 
 1. **Journal ingest overhead per fsync policy.** The real serve stack under
    identical loadgen workloads with the CDC journal off, then ``always`` /

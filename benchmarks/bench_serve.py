@@ -13,7 +13,7 @@ worker processes, recorded with the host's CPU count in
 ``benchmarks/results/BENCH_shard.json``. On a single-core runner the curve
 is flat by construction (there is nothing to scale onto); the acceptance
 target — >= 2.5x aggregate ingest at 4 shards over ``--shards 0`` with 4+
-tenants — applies to 4-core runners (the CI ``shard-smoke`` job).
+tenants — applies to 4-core runners (the CI ``serve-bench`` job).
 
 No latency assertion gates the numbers (shared runners jitter); what *is*
 asserted is the subsystem's core promise: every tenant's final served
@@ -199,7 +199,7 @@ def test_shard_scaling(benchmark):
     """The scaling curve spawns worker processes — chaos-marked like the
     other process-level drills. No speedup assertion here: the 2.5x gate
     is meaningless on a 1-core runner and is enforced by the CI
-    ``shard-smoke`` job on 4-core hardware instead."""
+    ``serve-bench`` job on 4-core hardware instead."""
     payload, path = benchmark.pedantic(
         run_shard_bench, args=((0, 2),), rounds=1, iterations=1
     )

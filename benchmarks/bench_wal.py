@@ -8,7 +8,7 @@ many points/second an ``INGEST`` ack costs when it must also mean
 "fsynced", "fsynced within N records", or "fsynced within an interval".
 
 Numbers land in ``benchmarks/results/BENCH_wal.json`` (archived by the CI
-``wal-smoke`` job). No threshold gates them — fsync latency on shared
+``serve-bench`` job). No threshold gates them — fsync latency on shared
 runners is weather — but each mode asserts its accounting: every sent
 point acknowledged, and (for WAL modes) every acknowledged point appended.
 """

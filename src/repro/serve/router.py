@@ -284,12 +284,16 @@ async def run_router(
             loop.add_signal_handler(sig, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
-    server = await asyncio.start_server(
-        lambda r, w: handle_proxy_connection(sharded, r, w),
-        host,
-        port,
-        limit=_STREAM_LIMIT,
-    )
+    try:
+        server = await asyncio.start_server(
+            lambda r, w: handle_proxy_connection(sharded, r, w),
+            host,
+            port,
+            limit=_STREAM_LIMIT,
+        )
+    except OSError:
+        await sharded.stop()  # a busy port must not orphan the workers
+        raise
     bound_port = server.sockets[0].getsockname()[1]
     sharded.port = bound_port
     print(

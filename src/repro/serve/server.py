@@ -476,7 +476,7 @@ def main(args) -> int:
         )
     except KeyboardInterrupt:  # pragma: no cover - signal handler races
         pass
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"serve error: {exc}", file=sys.stderr)
         return 1
     return 0

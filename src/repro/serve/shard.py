@@ -8,10 +8,11 @@ supplies the process-level half of that parallelism:
 - :func:`place` — deterministic consistent-hash placement of tenant names
   onto ``N`` shards (an md5 ring with virtual nodes, stable across
   processes, restarts, and Python hash randomisation);
-- the **worker**: ``python -m repro.serve.shard`` runs one ordinary
-  :class:`~repro.serve.service.ClusterService` behind a Unix-domain socket,
-  speaking the unchanged JSON-lines protocol (the TCP dispatcher is reused
-  verbatim — a worker is just today's server on a different transport);
+- the **worker**: :func:`worker_main` (one process per shard) runs one
+  ordinary :class:`~repro.serve.service.ClusterService` behind a
+  Unix-domain socket, speaking the unchanged JSON-lines protocol (the TCP
+  dispatcher is reused verbatim — a worker is just today's server on a
+  different transport);
 - :class:`ShardedClusterService` — the router-process handle that spawns
   the workers, supervises them (restart with exponential backoff, a
   restart-budget circuit breaker that *decays* after a healthy interval —
@@ -51,6 +52,14 @@ _SHARD_DIR = re.compile(r"^shard-(\d+)$")
 
 #: How often the supervisor polls a worker process for liveness.
 _POLL_S = 0.1
+
+#: The worker's ``python -c`` program. ``python -m repro.serve.shard`` would
+#: re-execute a module the ``repro.serve`` package has already imported,
+#: which makes runpy warn on every worker start.
+_WORKER_BOOT = (
+    "import sys; from repro.serve.shard import worker_main; "
+    "sys.exit(worker_main())"
+)
 
 
 # ----------------------------------------------------------------- placement
@@ -222,7 +231,7 @@ def _build_worker_parser() -> argparse.ArgumentParser:
 
 
 def worker_main(argv: list[str] | None = None) -> int:
-    """Entry point of one worker process (``python -m repro.serve.shard``)."""
+    """Entry point of one worker process (spawned by the router)."""
     from repro.serve.service import ClusterService
 
     args = _build_worker_parser().parse_args(argv)
@@ -374,8 +383,8 @@ class ShardedClusterService:
             pass
         argv = [
             sys.executable,
-            "-m",
-            "repro.serve.shard",
+            "-c",
+            _WORKER_BOOT,
             "--shard",
             str(worker.index),
             "--socket",
@@ -591,7 +600,3 @@ class ShardedClusterService:
             **totals,
             "shard_detail": detail,
         }
-
-
-if __name__ == "__main__":
-    sys.exit(worker_main())

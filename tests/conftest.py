@@ -37,6 +37,47 @@ def clustered_stream(
     return points
 
 
+def offline_run(points, config):
+    """``(clustering, summary)`` per stride of one uninterrupted offline run.
+
+    This is the reference every served, killed or resumed tenant must
+    reproduce. ``config`` is a ``SessionConfig`` or its dict form; its
+    window, stride, eps, tau and index are used.
+    """
+    from repro.api import cluster_stream
+    from repro.serve.config import SessionConfig
+
+    if isinstance(config, dict):
+        config = SessionConfig.from_dict(config)
+    spec = WindowSpec(window=config.window, stride=config.stride)
+    return cluster_stream(
+        points, spec, eps=config.eps, tau=config.tau, index=config.index
+    )
+
+
+def offline_history(points, config) -> list[dict]:
+    """Per-stride ``{pid: cluster id}`` of :func:`offline_run`."""
+    return [dict(clustering.labels) for clustering, _ in offline_run(points, config)]
+
+
+def offline_records(points, config) -> list[dict]:
+    """The CDC records (``stride_record``) of :func:`offline_run`."""
+    from repro.query.journal import stride_record
+
+    last = {"time": None}
+
+    def tracked():
+        for p in points:
+            last["time"] = p.time
+            yield p
+
+    prev, records = None, []
+    for s, (clustering, summary) in enumerate(offline_run(tracked(), config)):
+        records.append(stride_record(s, prev, clustering, summary, time=last["time"]))
+        prev = clustering
+    return records
+
+
 def run_windowed(methods, points, spec: WindowSpec, checker=None):
     """Feed ``points`` through ``spec`` into every method in lockstep.
 

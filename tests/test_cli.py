@@ -83,37 +83,6 @@ class TestResilientCluster:
     BASE = ["cluster", "--eps", "0.8", "--tau", "4",
             "--window", "300", "--stride", "60"]
 
-    @pytest.mark.chaos
-    def test_kill_resume_round_trip_is_byte_identical(
-        self, maze_csv, tmp_path, capsys
-    ):
-        ck = str(tmp_path / "ckpt")
-        reference = str(tmp_path / "reference.csv")
-        resumed = str(tmp_path / "resumed.csv")
-
-        code = main(self.BASE + ["--input", maze_csv, "--output", reference])
-        assert code == 0
-
-        code = main(
-            self.BASE
-            + ["--input", maze_csv, "--checkpoint-dir", ck,
-               "--checkpoint-every", "2", "--chaos-kill-at", "5"]
-        )
-        assert code == 3  # EXIT_CHAOS: the drill crashed as planned
-        err = capsys.readouterr().err
-        assert "killed" in err
-
-        code = main(
-            self.BASE
-            + ["--input", maze_csv, "--checkpoint-dir", ck, "--resume",
-               "--output", resumed]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "resumed 1x" in out
-        with open(reference) as a, open(resumed) as b:
-            assert a.read() == b.read()
-
     def test_skip_policy_with_dead_letter(self, maze_csv, tmp_path, capsys):
         dirty = str(tmp_path / "dirty.csv")
         with open(maze_csv) as src, open(dirty, "w") as dst:

@@ -20,15 +20,13 @@ import asyncio
 
 import pytest
 
-from repro.api import cluster_stream
-from repro.common.config import WindowSpec
 from repro.common.snapshot import Clustering
-from repro.query.journal import encode_record, stride_record
+from repro.query.journal import encode_record
 from repro.serve import SessionConfig, TenantSession
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.service import ClusterService
 
-from .conftest import clustered_stream
+from .conftest import clustered_stream, offline_records, offline_run
 from .test_serve_server import serve_scenario
 
 EPS, TAU = 0.8, 4
@@ -46,42 +44,6 @@ def journal_config(**overrides) -> dict:
     }
     base.update(overrides)
     return base
-
-
-def offline_records(points, *, index=None) -> list[dict]:
-    """The ground-truth CDC stream of one tenant, built offline."""
-    last = {"time": None}
-
-    def tracked():
-        for p in points:
-            last["time"] = p.time
-            yield p
-
-    spec = WindowSpec(window=WINDOW, stride=STRIDE)
-    prev = None
-    records = []
-    for s, (clustering, summary) in enumerate(
-        cluster_stream(tracked(), spec, eps=EPS, tau=TAU, index=index)
-    ):
-        records.append(
-            stride_record(s, prev, clustering, summary, time=last["time"])
-        )
-        prev = clustering
-    return records
-
-
-def offline_states(points) -> list[dict]:
-    """Ground-truth membership ``{pid: (label, cat)}`` per stride."""
-    spec = WindowSpec(window=WINDOW, stride=STRIDE)
-    states = []
-    for clustering, _ in cluster_stream(points, spec, eps=EPS, tau=TAU):
-        states.append(
-            {
-                pid: (clustering.labels.get(pid, Clustering.NOISE_ID), cat.value)
-                for pid, cat in clustering.categories.items()
-            }
-        )
-    return states
 
 
 async def subscribe_and_collect(port, name, *, cursor=0, ready=None):
@@ -131,7 +93,7 @@ class TestByteIdentity:
         reply, live, end, pulled = serve_scenario(
             lambda port: scenario(port), service=service
         )
-        expected = offline_records(points, index=index)
+        expected = offline_records(points, config)
         assert reply["cursor"] == 0
 
         as_bytes = lambda rs: [encode_record(r) for r in rs]  # noqa: E731
@@ -145,8 +107,8 @@ class TestByteIdentity:
     def test_backends_produce_identical_journals(self, tmp_path):
         """Identity leg 2: the CDC stream is backend-invariant."""
         points = clustered_stream(52, 300)
-        grid = offline_records(points, index="grid")
-        rtree = offline_records(points, index="rtree")
+        grid = offline_records(points, journal_config(index="grid"))
+        rtree = offline_records(points, journal_config(index="rtree"))
         assert [encode_record(r) for r in grid] == [
             encode_record(r) for r in rtree
         ]
@@ -172,7 +134,7 @@ class TestByteIdentity:
                 return pages
 
         pages = serve_scenario(scenario, service=ClusterService(data_dir=tmp_path))
-        expected = offline_records(points)
+        expected = offline_records(points, config)
         paged = [r for page in pages for r in page["events"]]
         assert [encode_record(r) for r in paged] == [
             encode_record(r) for r in expected
@@ -207,7 +169,7 @@ class TestSubscribeSemantics:
         reply, records, end = serve_scenario(
             lambda p: scenario(p), service=ClusterService(data_dir=tmp_path)
         )
-        expected = offline_records(points)
+        expected = offline_records(points, config)
         assert reply["cursor"] == 2
         assert reply["head"] >= 2
         assert [encode_record(r) for r in records] == [
@@ -303,7 +265,7 @@ class TestSubscribeSemantics:
             return got
 
         got = asyncio.run(run())
-        expected = offline_records(points)
+        expected = offline_records(points, config)
         assert [encode_record(r) for r in got] == [
             encode_record(r) for r in expected
         ]
@@ -335,10 +297,16 @@ class TestAsOf:
         answers = serve_scenario(
             lambda p: scenario(p), service=ClusterService(data_dir=tmp_path)
         )
-        states = offline_states(points)
-        for s, payload in answers.items():
-            expected_labels = {str(pid): lab for pid, (lab, _) in states[s].items()}
-            expected_cats = {str(pid): cat for pid, (_, cat) in states[s].items()}
+        for s, (clustering, _) in enumerate(offline_run(points, config)):
+            if s not in answers:
+                continue
+            payload = answers[s]
+            cats = clustering.categories
+            expected_labels = {
+                str(pid): clustering.labels.get(pid, Clustering.NOISE_ID)
+                for pid in cats
+            }
+            expected_cats = {str(pid): cat.value for pid, cat in cats.items()}
             assert payload["stride"] == s
             assert payload["labels"] == expected_labels, f"stride {s}"
             assert payload["categories"] == expected_cats, f"stride {s}"

@@ -21,7 +21,7 @@ from repro.query.journal import EvolutionJournal
 from repro.serve import ServeError, SessionConfig, TenantSession
 from repro.serve.session import SessionView
 
-from .conftest import clustered_stream
+from .conftest import clustered_stream, offline_history
 
 EPS, TAU = 0.8, 4
 
@@ -43,16 +43,6 @@ def record_views(session: TenantSession) -> list:
 
     session._publish = capture
     return views
-
-
-def offline_label_history(points, config: SessionConfig) -> list[dict]:
-    spec = WindowSpec(window=config.window, stride=config.stride)
-    return [
-        dict(snapshot.labels)
-        for snapshot, _ in cluster_stream(
-            points, spec, eps=config.eps, tau=config.tau
-        )
-    ]
 
 
 async def drive_session(config, points, *, batch=17, drain=True, flush_tail=True):
@@ -83,7 +73,7 @@ class TestPolicyEquivalence:
         journal = session.journal
         assert journal, "writer consumed nothing"
         served = [dict(v.clustering.labels) for v in views]
-        assert served == offline_label_history(journal, config)
+        assert served == offline_history(journal, config)
         return session, journal, points
 
     def test_block_policy_is_lossless_and_exact(self):
@@ -320,7 +310,7 @@ class TestDrain:
         )
         assert views[-1].stride == 10  # tail stride closed
         assert [dict(v.clustering.labels) for v in views] == (
-            offline_label_history(points, config)
+            offline_history(points, config)
         )
 
     def test_ingest_after_drain_is_rejected(self):

@@ -1,27 +1,22 @@
-"""Sharded serving: placement, layout migration, protocol equivalence,
-placement stability across router restarts, and worker kill -9 drills.
+"""Sharded serving: placement, layout migration, protocol equivalence and
+placement stability across router restarts.
 
 The contract of ``repro serve --shards N`` is that clients cannot tell it
 from ``--shards 0``: same frames, byte-identical answers, same durability
-guarantees — plus process-level fault isolation (one worker dying leaves
-co-resident shards serving) and self-healing worker supervision mirroring
-the per-tenant circuit breaker.
+guarantees. The worker kill -9 drill (fault isolation and supervised
+restart) is the ``worker`` row of ``test_kill_drills.py``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
-import signal
 import time
 from collections import Counter
 
 import pytest
 
-from repro.api import cluster_stream
-from repro.common.config import WindowSpec
 from repro.serve import SessionConfig, protocol
-from repro.serve.client import ServeClient, ServeClientError
+from repro.serve.client import ServeClient
 from repro.serve.router import run_router
 from repro.serve.server import run_server
 from repro.serve.service import ClusterService
@@ -37,14 +32,6 @@ def make_config(**overrides) -> SessionConfig:
     base = dict(eps=EPS, tau=TAU, window=WINDOW, stride=STRIDE, checkpoint_every=2)
     base.update(overrides)
     return SessionConfig(**base)
-
-
-def offline_final_labels(points, config: SessionConfig) -> dict:
-    spec = WindowSpec(window=config.window, stride=config.stride)
-    last = None
-    for snapshot, _ in cluster_stream(points, spec, eps=config.eps, tau=config.tau):
-        last = snapshot
-    return {str(pid): cid for pid, cid in last.labels.items()}
 
 
 def pick_tenants(shards: int, per_shard: int = 1) -> list[str]:
@@ -336,102 +323,3 @@ class TestPlacementStability:
         for t in tenants:
             home = tmp_path / "data" / f"shard-{place(t, shards)}" / t
             assert (home / "session.json").exists()
-
-
-# ---------------------------------------------------------------- kill drill
-
-
-@pytest.mark.chaos
-class TestWorkerKillDrill:
-    def test_kill9_isolates_the_shard_and_loses_no_acks(self, tmp_path):
-        """``kill -9`` one worker: co-resident shards answer throughout,
-        the dead shard reports ``shard-unavailable`` until its supervised
-        restart, and the resumed tenants cover every acknowledged point
-        (``wal_fsync=always``) with labels matching the offline run."""
-        shards = 2
-        tenants = pick_tenants(shards)
-        config = make_config(wal=True, wal_fsync="always")
-        n_points = 60
-        cut = 30
-        streams = {
-            t: clustered_stream(80 + i, n_points) for i, t in enumerate(tenants)
-        }
-
-        async def run():
-            sharded = ShardedClusterService(
-                shards,
-                data_dir=tmp_path / "data",
-                restart_backoff_s=0.05,
-                restart_reset_s=0.5,
-            )
-            ready, stop = asyncio.Event(), asyncio.Event()
-            task = asyncio.create_task(
-                run_router(sharded, "127.0.0.1", 0, ready=ready, stop=stop)
-            )
-            await ready.wait()
-            try:
-                client = await ServeClient.connect("127.0.0.1", sharded.port)
-                for t in tenants:
-                    await client.open_session(t, config)
-                    reply = await client.ingest(t, streams[t][:cut])
-                    assert reply["accepted"] == cut  # acked => fsynced
-                victim, survivor = tenants[0], tenants[1]
-                victim_worker = sharded.shard_for(victim)
-                assert victim_worker is not sharded.shard_for(survivor)
-
-                os.kill(victim_worker.pid, signal.SIGKILL)
-
-                # Co-resident shard serves while the victim is down.
-                reply = await client.ingest(survivor, streams[survivor][cut : cut + 10])
-                assert reply["accepted"] == 10
-                snap = await client.snapshot(survivor)
-                assert snap["stride"] >= 0
-
-                # The victim's shard degrades to an error envelope, never a
-                # hang — and heals via the router's supervised restart.
-                saw_unavailable = False
-                reopened = None
-                deadline = time.monotonic() + 20
-                while time.monotonic() < deadline:
-                    try:
-                        reopened = await client.open_session(victim, config)
-                        break
-                    except ServeClientError as exc:
-                        assert exc.code == "shard-unavailable", exc.code
-                        saw_unavailable = True
-                        await asyncio.sleep(0.02)
-                assert reopened is not None, "victim shard never healed"
-                assert saw_unavailable, "kill -9 was never even observed"
-
-                # Zero acked loss: the resumed session covers every ack, so
-                # the client's full re-send swallows exactly the acked prefix.
-                assert reopened["replay_offset"] == cut
-                reply = await client.ingest(victim, streams[victim])
-                assert reply["accepted"] == n_points
-
-                await client.ingest(survivor, streams[survivor][cut + 10 :])
-                snapshots = {}
-                for t in tenants:
-                    await client.drain(t, flush_tail=True)
-                    snapshots[t] = await client.snapshot(t)
-
-                stats = await client.stats()
-                assert stats["worker_restarts"] == 1
-                assert stats["degraded"] == {}
-                detail = {d["shard"]: d for d in stats["shard_detail"]}
-                assert detail[victim_worker.index]["restarts"] == 1
-                assert all(d["alive"] for d in stats["shard_detail"])
-                assert all(
-                    d["rss_bytes"] > 0 for d in stats["shard_detail"]
-                ), "worker RSS should be measurable on linux"
-                await client.close()
-                return snapshots
-            finally:
-                stop.set()
-                await task
-
-        snapshots = asyncio.run(run())
-        for t in tenants:
-            assert snapshots[t]["labels"] == offline_final_labels(
-                streams[t], config
-            ), f"{t}: labels diverged from the offline run after kill -9"

@@ -1,7 +1,7 @@
 """Exactly-once ingest: WAL-backed sessions, kill drills, supervision.
 
-Two contracts are proven here, in-process (the subprocess TCP variant lives
-in ``test_serve_recovery.py`` and the CI ``wal-smoke`` job):
+Two contracts are proven here, in-process (the subprocess TCP variant is
+the ``wal`` row of ``test_kill_drills.py``):
 
 1. **Durability** — with ``wal_fsync="always"`` under the ``block`` policy,
    a simulated kill -9 + power cut after *any* acknowledged point loses
@@ -19,8 +19,6 @@ import asyncio
 
 import pytest
 
-from repro.api import cluster_stream
-from repro.common.config import WindowSpec
 from repro.common.errors import ConfigurationError
 from repro.observability import InMemorySink, Tracer, validate_trace_record
 from repro.observability.sinks import PrometheusTextfileExporter
@@ -28,7 +26,7 @@ from repro.runtime.chaos import DiskFull, power_loss
 from repro.runtime.wal import WriteAheadLog
 from repro.serve import ClusterService, ServeError, SessionConfig, TenantSession
 
-from .conftest import clustered_stream
+from .conftest import clustered_stream, offline_history
 
 EPS, TAU = 0.8, 4
 WINDOW, STRIDE = 40, 10
@@ -56,16 +54,6 @@ def make_wal(tmp_path, config: SessionConfig) -> WriteAheadLog:
         fsync_interval_s=config.wal_fsync_interval_s,
         segment_bytes=config.wal_segment_bytes,
     )
-
-
-def offline_history(points, config: SessionConfig) -> list[dict]:
-    spec = WindowSpec(window=config.window, stride=config.stride)
-    return [
-        dict(snapshot.labels)
-        for snapshot, _ in cluster_stream(
-            points, spec, eps=config.eps, tau=config.tau
-        )
-    ]
 
 
 class TestConfig:
