@@ -227,9 +227,15 @@ class PointStore:
         return self._slot_of.get(pid)
 
     def slots_of(self, pids: Iterable[int]) -> np.ndarray:
-        """Translate resident pids to a slot array (KeyError on a miss)."""
-        slot_of = self._slot_of
-        return np.fromiter((slot_of[p] for p in pids), dtype=np.int64)
+        """Translate resident pids to a slot array (KeyError on a miss).
+
+        ``map`` over the dict's bound ``__getitem__`` keeps the per-pid step
+        in C; ``count`` presizes the array whenever ``pids`` has a length.
+        """
+        lookup = map(self._slot_of.__getitem__, pids)
+        if hasattr(pids, "__len__"):
+            return np.fromiter(lookup, dtype=np.int64, count=len(pids))
+        return np.fromiter(lookup, dtype=np.int64)
 
     def live_slots(self) -> np.ndarray:
         """Slots of every resident row, in insertion order.

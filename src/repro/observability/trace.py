@@ -40,6 +40,7 @@ COUNTERS = (
     "msbfs_expansions",
     "msbfs_queue_merges",
     "msbfs_early_exits",
+    "msbfs_seed_settled",
 )
 
 
@@ -213,7 +214,8 @@ class TraceAggregate:
             f"ms-bfs: {c['connectivity_checks']} checks, "
             f"{c['msbfs_expansions']} expansions, "
             f"{c['msbfs_queue_merges']} queue merges, "
-            f"{c['msbfs_early_exits']} early exits"
+            f"{c['msbfs_early_exits']} early exits, "
+            f"{c['msbfs_seed_settled']} settled on seeds"
         )
         idx = self.index
         lines.append(

@@ -189,6 +189,27 @@ class TestDiscTracing:
         assert tracer_on.aggregate.index.epoch_prunes > 0
         assert tracer_off.aggregate.index.epoch_prunes == 0
 
+    def test_seed_settled_checks_counted(self):
+        # Dense blobs: most split checks start from mutually adjacent
+        # bonding cores, which the seed partition answers without a search.
+        spec = WindowSpec(200, 40)
+        slides = list(materialize_slides(clustered_stream(2, 600), spec))
+        sink = InMemorySink()
+        tracer = Tracer(sink)
+        traced, plain = DISC(0.7, 4, tracer=tracer), DISC(0.7, 4)
+        for delta_in, delta_out in slides:
+            got = traced.advance(delta_in, delta_out)
+            want = plain.advance(delta_in, delta_out)
+            assert got.events == want.events
+        assert traced.snapshot().labels == plain.snapshot().labels
+        assert any(trace.msbfs_seed_settled > 0 for trace in sink.records)
+        for trace in sink.records:
+            assert trace.msbfs_seed_settled <= trace.connectivity_checks
+        assert "settled on seeds" in tracer.report()
+        # The classic arm has no seed partition.
+        _, classic, _ = traced_run(seed=2, n=600, spec=spec, multi_starter=False)
+        assert classic.aggregate.counters["msbfs_seed_settled"] == 0
+
     def test_events_counted_by_kind(self):
         _, tracer, _ = traced_run()
         events = tracer.aggregate.events

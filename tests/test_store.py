@@ -199,3 +199,15 @@ class TestInvariants:
         assert got.tolist() == [store.slot_of(4), store.slot_of(0), store.slot_of(2)]
         with pytest.raises(KeyError):
             store.slots_of([99])
+
+    def test_slots_of_accepts_generators_and_arrays(self):
+        store = PointStore()
+        fill(store, 6)
+        want = [store.slot_of(p) for p in (5, 1, 3)]
+        assert store.slots_of(p for p in (5, 1, 3)).tolist() == want
+        assert store.slots_of(np.array([5, 1, 3])).tolist() == want
+        assert store.slots_of(iter(())).tolist() == []
+        with pytest.raises(KeyError):
+            store.slots_of(p for p in (1, 99))
+        with pytest.raises(KeyError):
+            store.slots_of((1, 99))
