@@ -166,17 +166,17 @@ def process_ex_cores(
     events: list[EvolutionEvent] = []
     on_border = _make_on_border(state)
 
-    # Old cluster ids retained this stride, mapped to representative cores of
-    # the components that kept them. Needed because several retro classes may
-    # carve the *same* old cluster: each class's check sees only its own
-    # fragments (Lemma 2 is per-class), so without reconciliation two
-    # disconnected fragments could both retain the old id. Claims are
-    # recorded here; ids actually at risk — fragmentation of a cluster always
-    # makes some split survivor claim it, so only ids in ``split_claimed``
-    # can be contested — are settled once at the end by a single connectivity
+    # Old cluster ids kept by split survivors this stride, mapped to one
+    # representative core per survivor. Needed because several retro classes
+    # may carve the *same* old cluster: each class's check sees only its own
+    # fragments (Lemma 2 is per-class), so two split survivors in different
+    # fragments could both keep the old id. Only split survivors need to be
+    # recorded: every fragment of a fragmented cluster is seen, together with
+    # another fragment, by some splitting class, which either gives it a fresh
+    # id or leaves it holding a survivor claim (DESIGN.md §3.4). Ids with two
+    # or more claimants are settled once at the end by a single connectivity
     # check over the claimants.
     kept: dict[int, list[int]] = {}
-    split_claimed: set[int] = set()
     plan = _scan_plan(store, index, ex_cores, eps, tau)
 
     for seed, remaining in _ordered_classes(ex_cores):
@@ -222,7 +222,6 @@ def process_ex_cores(
                 seed,
                 bonding,
                 kept,
-                split_claimed,
                 class_cid,
                 multi_starter=multi_starter,
                 epoch_probing=epoch_probing,
@@ -235,7 +234,6 @@ def process_ex_cores(
             state,
             index,
             kept,
-            split_claimed,
             multi_starter=multi_starter,
             epoch_probing=epoch_probing,
             on_border=on_border,
@@ -323,39 +321,36 @@ def _retro_scan(
     return class_cid
 
 
-def _claim(state: WindowState, kept: dict[int, list[int]], rep: int) -> int:
-    """Record that ``rep``'s component retains its current cluster id."""
-    cid = state.cids.find(state.records[rep].cid)
-    kept.setdefault(cid, []).append(rep)
-    return cid
+def _cid_of(state: WindowState, pid: int) -> int:
+    """Canonical cluster id of the core ``pid``."""
+    return state.cids.find(int(state.store.cid[state.store.slot_of(pid)]))
 
 
 def _settle_claims(
     state: WindowState,
     index,
     kept: dict[int, list[int]],
-    split_claimed: set[int],
     *,
     multi_starter: bool,
     epoch_probing: bool,
     on_border,
     trace=None,
 ) -> list[EvolutionEvent]:
-    """Ensure each retained cluster id labels exactly one component.
+    """Ensure each old cluster id kept by split survivors labels one component.
 
-    Only ids claimed by at least one *split survivor* can be contested: if
-    an old cluster fragmented, the class spanning two of its fragments saw a
-    disconnected ``M^-`` and split, and its survivor claimed the id. For each
-    such id with two or more claimants, one connectivity check over the
-    claimant representatives decides: all connected (the common case — the
-    check meets in the middle and exits early) means the shared id is
-    legitimate; otherwise the exhausted components are fragments that must
-    take fresh ids. Returns the extra split events this produces.
+    ``kept`` maps every id a split survivor kept this stride to the
+    survivors' representative cores. Shrinking classes need no claim: if
+    their cluster fragmented, their fragment was either relabelled by some
+    split or holds a survivor claim itself (DESIGN.md §3.4). For each id with
+    two or more live claimants, one connectivity check over them decides:
+    all connected means the shared id is legitimate; otherwise the exhausted
+    components are fragments that must take fresh ids. Returns the extra
+    split events this produces.
     """
     records = state.records
     events: list[EvolutionEvent] = []
-    for cid in sorted(split_claimed):
-        reps = kept.get(cid, ())
+    for cid in sorted(kept):
+        reps = kept[cid]
         live = []
         seen: set[int] = set()
         for rep in reps:
@@ -400,7 +395,6 @@ def _resolve_ex_class(
     seed: int,
     bonding: list[int],
     kept: dict[int, list[int]],
-    split_claimed: set[int],
     class_cid: int | None,
     *,
     multi_starter: bool,
@@ -418,7 +412,7 @@ def _resolve_ex_class(
             state.cids.retire(class_cid)
         return EvolutionEvent(EvolutionKind.DISSIPATE, trigger=seed)
     if len(bonding) == 1:
-        cid = _claim(state, kept, bonding[0])
+        cid = _cid_of(state, bonding[0])
         return EvolutionEvent(EvolutionKind.SHRINK, (cid,), trigger=seed)
 
     if trace is not None:
@@ -433,7 +427,7 @@ def _resolve_ex_class(
         trace=trace,
     )
     if result.connected:
-        cid = _claim(state, kept, bonding[0])
+        cid = _cid_of(state, bonding[0])
         return EvolutionEvent(EvolutionKind.SHRINK, (cid,), trigger=seed)
 
     # Split: each fully traversed component becomes a new cluster; the
@@ -443,10 +437,9 @@ def _resolve_ex_class(
     for component in result.exhausted:
         cid = state.cids.make()
         new_cids.append(cid)
-        kept[cid] = [component[0]]
         state.set_cids(component, cid)
-    survivor_cid = _claim(state, kept, result.survivor[0])
-    split_claimed.add(survivor_cid)
+    survivor_cid = _cid_of(state, result.survivor[0])
+    kept.setdefault(survivor_cid, []).append(result.survivor[0])
     return EvolutionEvent(
         EvolutionKind.SPLIT, (survivor_cid, *new_cids), trigger=seed
     )
